@@ -66,7 +66,8 @@ void e15(benchmark::State& state) {
     iph::session::ManagerConfig mc;
     mc.default_backend = iph::exec::BackendKind::kNative;
     mc.master_seed = kMasterSeed;
-    iph::session::SessionManager mgr(mc, registry);
+    iph::exec::NativeBackend engine;
+    iph::session::SessionManager mgr(mc, engine, registry);
     iph::session::OpenInfo info;
     if (mgr.open(iph::exec::BackendKind::kNative, &info) !=
         iph::session::SessionStatus::kOk) {
@@ -120,9 +121,7 @@ void e15(benchmark::State& state) {
     }
     ratio = append_ms / scratch_ms;
 
-    // Server-side reconciliation (skipped in compiled-out stats builds,
-    // where every instrument reads zero by design).
-    if constexpr (!iph::stats::kEnabled) continue;
+    // Server-side reconciliation.
     namespace sn = iph::session::statnames;
     const iph::stats::RegistrySnapshot snap = registry.snapshot();
     const std::uint64_t rejects =

@@ -1,6 +1,8 @@
 #include "cluster/endpoint.h"
 
 #include <netdb.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -59,6 +61,12 @@ int dial(const Endpoint& ep) {
     fd = -1;
   }
   ::freeaddrinfo(res);
+  if (fd >= 0) {
+    // Every protocol message is one small line: send it at once
+    // instead of holding it for the peer's ACK (Nagle).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  }
   return fd;
 }
 

@@ -23,7 +23,8 @@ bool parse_endpoint(const std::string& s, Endpoint* out);
 /// Parse a comma-separated endpoint list; empty elements are an error.
 bool parse_endpoint_list(const std::string& csv, std::vector<Endpoint>* out);
 
-/// Blocking TCP connect. Returns the connected fd, or -1 on failure.
+/// Blocking TCP connect with TCP_NODELAY set. Returns the connected
+/// fd, or -1 on failure.
 int dial(const Endpoint& ep);
 
 }  // namespace iph::cluster

@@ -19,41 +19,33 @@ std::vector<Span> phase_spans_from_events(
                         : epoch + static_cast<std::uint64_t>(wall_us * 1e3);
   };
 
-  // Stack of indices into `out` for phases still open; parent of a new
-  // span is the innermost open phase, or the caller's exec span.
-  std::vector<std::size_t> open;
-  std::uint32_t next_id = kFirstPhaseSpanId;
-  std::uint64_t last_ns = epoch;
-  for (std::size_t i = begin; i < end; ++i) {
-    const trace::TraceEvent& e = events[i];
-    last_ns = abs_ns(e.wall_us);
-    if (e.kind == trace::TraceEvent::Kind::kOpen) {
-      if (out.size() >= kMaxPhaseSpans) {
-        if (truncated != nullptr) *truncated = true;
-        break;
-      }
-      Span s;
-      s.name = intern_name(e.name);
-      s.span_id = next_id++;
-      s.parent_id = open.empty()
-                        ? parent_id
-                        : out[open.back()].span_id;
-      s.start_ns = last_ns;
-      s.end_ns = last_ns;  // patched at close
-      open.push_back(out.size());
-      out.push_back(s);
-    } else {
-      if (open.empty()) continue;  // unmatched close (sliced log)
-      out[open.back()].end_ns = last_ns;
-      open.pop_back();
-    }
-  }
-  // Phases still open when the slice ended (cap hit mid-tree): close at
-  // the last stamp so durations stay sane.
-  while (!open.empty()) {
-    out[open.back()].end_ns = last_ns;
-    open.pop_back();
-  }
+  // Span i is the slice's i-th open, so ids follow ordinals; the parent
+  // of a top-level phase is the caller's exec span. Hitting the cap
+  // stops the walk, and the still-open phases close at that stamp.
+  trace::match_phases(
+      std::span<const trace::TraceEvent>(events).subspan(begin, end - begin),
+      [&](std::size_t ordinal, std::size_t parent,
+          const trace::TraceEvent& e) {
+        if (out.size() >= kMaxPhaseSpans) {
+          if (truncated != nullptr) *truncated = true;
+          return false;
+        }
+        Span s;
+        s.name = intern_name(e.name);
+        s.span_id = kFirstPhaseSpanId + static_cast<std::uint32_t>(ordinal);
+        s.parent_id = parent == trace::kNoParent
+                          ? parent_id
+                          : kFirstPhaseSpanId +
+                                static_cast<std::uint32_t>(parent);
+        s.start_ns = abs_ns(e.wall_us);
+        s.end_ns = s.start_ns;  // patched at close
+        out.push_back(s);
+        return true;
+      },
+      [&](std::size_t ordinal, const trace::TraceEvent&,
+          const trace::TraceEvent& at) {
+        out[ordinal].end_ns = abs_ns(at.wall_us);
+      });
   // The recorder itself drops events past its cap; a dropped tail means
   // the tree is incomplete even if we never hit kMaxPhaseSpans.
   if (truncated != nullptr && rec->dropped_events() > 0) *truncated = true;

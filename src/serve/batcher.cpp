@@ -1,28 +1,11 @@
 #include "serve/batcher.h"
 
-#include "exec/pram_backend.h"
-
 namespace iph::serve {
 
 std::vector<Response> execute_batch(const BackendSet& backends,
                                     std::span<const Request> requests,
                                     std::uint64_t master_seed,
                                     BatchExecInfo* info) {
-  // Pack the batch into one contiguous arena; request r's points live in
-  // the disjoint cell range [offsets[r], offsets[r] + n_r).
-  std::vector<std::size_t> offsets;
-  offsets.reserve(requests.size());
-  std::size_t total = 0;
-  for (const Request& r : requests) {
-    offsets.push_back(total);
-    total += r.points.size();
-  }
-  std::vector<geom::Point2> arena;
-  arena.reserve(total);
-  for (const Request& r : requests) {
-    arena.insert(arena.end(), r.points.begin(), r.points.end());
-  }
-
   std::vector<Response> out;
   out.reserve(requests.size());
   if (info != nullptr) {
@@ -46,10 +29,7 @@ std::vector<Response> execute_batch(const BackendSet& backends,
             ? backends.recorder->events().size()
             : 0;
     const auto t0 = Clock::now();
-    exec::HullRun run = backend->upper_hull(
-        std::span<const geom::Point2>(arena).subspan(offsets[i],
-                                                     r.points.size()),
-        seed, r.alpha);
+    exec::HullRun run = backend->upper_hull(r.points, seed, r.alpha);
     const auto t1 = Clock::now();
     Response resp;
     resp.id = r.id;
@@ -80,16 +60,6 @@ std::vector<Response> execute_batch(const BackendSet& backends,
     out.push_back(std::move(resp));
   }
   return out;
-}
-
-std::vector<Response> execute_batch(pram::Machine& m,
-                                    std::span<const Request> requests,
-                                    std::uint64_t master_seed,
-                                    BatchExecInfo* info) {
-  exec::PramBackend pram_backend(m);
-  BackendSet backends;
-  backends.pram = &pram_backend;
-  return execute_batch(backends, requests, master_seed, info);
 }
 
 }  // namespace iph::serve

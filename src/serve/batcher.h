@@ -2,21 +2,19 @@
 //
 // Small hull queries are dominated by per-run fixed costs, so the
 // service coalesces the small requests that arrive within a window into
-// ONE leased execution run: their point sets are packed into a single
-// contiguous arena (request r owns the disjoint cell range
-// [offset_r, offset_r + n_r)), the batch's backend executes the
-// requests back-to-back — each request under its derived seed so every
-// request replays exactly its solo execution — and the per-request
-// hulls are split back out of the arena's index space. Requests at or
-// above BatchPolicy::small_threshold points bypass the batcher and are
-// routed to the dedicated large shard (service.h).
+// ONE leased execution run: the batch's backend executes the requests
+// back-to-back, each on its own point span and under its derived seed,
+// so every request replays exactly its solo execution. Requests at or
+// above BatchPolicy::small_threshold points go to the large queue,
+// which the same worker loop drains one request at a time on the large
+// shard (service.h).
 //
 // Why back-to-back inside one lease rather than one merged simulation:
 // the service promises batched results bit-identical to solo runs
 // (request.h determinism contract), and a merged simulation would key
 // every random draw on the batch composition. The throughput win of
-// batching here is amortizing the machine lease, the thread-pool warmth
-// and the arena over many tiny queries — measured in bench/e14.
+// batching here is amortizing the machine lease and the thread-pool
+// warmth over many tiny queries — measured in bench/e14.
 //
 // Execution is routed through the iph::exec::Backend seam: each request
 // names a BackendKind (kDefault defers to the service default) and the
@@ -32,24 +30,23 @@
 #include <vector>
 
 #include "exec/backend.h"
-#include "pram/machine.h"
 #include "pram/metrics.h"
 #include "serve/request.h"
 #include "trace/recorder.h"
 
 namespace iph::serve {
 
+/// Total input points one batch may carry (BoundedQueue::pop_batch's
+/// point budget; the first request is taken regardless of its size).
+inline constexpr std::size_t kMaxBatchPoints = std::size_t{1} << 16;
+
 struct BatchPolicy {
   /// Requests with >= this many points skip batching (large path).
   std::size_t small_threshold = 2048;
-  /// Budget per batch: requests and total arena points.
+  /// Requests per batch.
   std::size_t max_batch_requests = 64;
-  std::size_t max_batch_points = std::size_t{1} << 16;
   /// How long a dequeued batch waits for stragglers.
   std::chrono::microseconds window{200};
-  /// Serial-dispatch grain applied to leased shards (0 = leave the
-  /// machine's IPH_PRAM_GRAIN-derived default).
-  std::uint64_t grain = 0;
 };
 
 /// The engines one batch may dispatch to, plus the service-level
@@ -84,14 +81,14 @@ struct BackendSet {
 struct BatchExecInfo {
   /// When request i's hull finished computing — parallel to the
   /// returned responses. The service derives each request's OWN e2e
-  /// from this (batch-mates that ran earlier in the arena complete
+  /// from this (batch-mates that ran earlier in the lease complete
   /// earlier); before this existed every batch-mate was stamped with
   /// the batch tail's end time.
   std::vector<Clock::time_point> completed_at;
   /// When request i's execution started on the backend — parallel to
   /// completed_at. [started_at[i], completed_at[i]) is request i's own
   /// exec span; the gap back to started_at[0] is its wait for earlier
-  /// batch-mates in the shared arena.
+  /// batch-mates in the same lease.
   std::vector<Clock::time_point> started_at;
   /// Per-request [begin, end) index range into BackendSet::recorder's
   /// event log (all zeros when no recorder was supplied, and empty
@@ -116,14 +113,6 @@ struct BatchExecInfo {
 /// (per-request completion stamps for that are in `info` when
 /// non-null).
 std::vector<Response> execute_batch(const BackendSet& backends,
-                                    std::span<const Request> requests,
-                                    std::uint64_t master_seed,
-                                    BatchExecInfo* info = nullptr);
-
-/// Legacy PRAM-only entry point: wraps `m` in a stack PramBackend and
-/// runs the batch with no native engine. Kept because the determinism
-/// and serving tests drive batches against a bare machine.
-std::vector<Response> execute_batch(pram::Machine& m,
                                     std::span<const Request> requests,
                                     std::uint64_t master_seed,
                                     BatchExecInfo* info = nullptr);

@@ -14,16 +14,6 @@ BoundedQueue::Admit BoundedQueue::push(Pending& p) {
   return Admit::kOk;
 }
 
-std::optional<Pending> BoundedQueue::pop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [this] { return closed_ || !q_.empty(); });
-  if (q_.empty()) return std::nullopt;
-  Pending p = std::move(q_.front());
-  q_.pop_front();
-  update_depth_locked();
-  return p;
-}
-
 std::vector<Pending> BoundedQueue::pop_batch(
     std::size_t max_requests, std::size_t max_points,
     std::chrono::microseconds window, BatchClose* close_reason) {

@@ -3,16 +3,16 @@
 // The queue is the service's only backpressure point: push() never
 // blocks — a full queue rejects immediately (Admit::kFull) so callers
 // get a loaded-shed answer instead of unbounded latency, and a closed
-// queue rejects with Admit::kClosed. Consumers block in pop()/
-// pop_batch(); close() wakes them all, after which pops DRAIN the
-// backlog (graceful shutdown: every admitted request is still handed to
-// a worker) and then return empty.
+// queue rejects with Admit::kClosed. Consumers block in pop_batch();
+// close() wakes them all, after which pops DRAIN the backlog
+// (graceful shutdown: every admitted request is still handed to a
+// worker) and then return empty.
 //
 // pop_batch implements the batching window: it blocks for the first
 // item, then keeps taking already-queued items — waiting up to `window`
 // for stragglers — until the request or point budget is reached. The
 // window prices latency against coalescing; the budgets bound the
-// arena one PRAM run touches.
+// work one leased run takes on.
 #pragma once
 
 #include <chrono>
@@ -21,7 +21,6 @@
 #include <deque>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "serve/request.h"
@@ -34,7 +33,7 @@ namespace iph::serve {
 enum class BatchClose : std::uint8_t {
   kWindow,    ///< Straggler window elapsed.
   kRequests,  ///< Request budget reached.
-  kPoints,    ///< Point (arena) budget reached.
+  kPoints,    ///< Point budget reached.
   kClosed,    ///< Queue closed while the batch was collecting.
 };
 
@@ -71,10 +70,6 @@ class BoundedQueue {
   /// On kOk the queue owns `p`; otherwise `p` is untouched (the caller
   /// still holds the promise to answer the rejection on).
   Admit push(Pending& p);
-
-  /// One item, blocking until something arrives or the queue closes.
-  /// Empty optional = closed and fully drained.
-  std::optional<Pending> pop();
 
   /// Up to max_requests items totalling at most max_points input points
   /// (the first item is taken regardless of its size, so oversized

@@ -7,19 +7,19 @@
 //   submit ──admission──> small queue ──batch workers──> MachinePool
 //          │                                              (leased shard,
 //          │                                               batched run)
-//          └─(points >= small_threshold)─> large queue ──> dedicated
-//                                          large worker    large shard
+//          └─(points >= small_threshold)─> large queue ──> large worker
+//                                                          ──> large shard
 //
 // * Admission control happens on the caller's thread: a full queue or a
 //   shut-down service answers immediately with a ready rejected future
 //   — no request is ever silently dropped.
-// * Batch workers pop batches from the small queue (BoundedQueue::
-//   pop_batch with the policy window), lease a shard, expire any
-//   request whose deadline passed while queued, and run the rest
-//   through serve::execute_batch.
-// * The large worker runs oversized requests one at a time on its own
-//   dedicated shard so a big query never sits behind a batch (and a
-//   batch never waits on a big query).
+// * Every worker runs the same loop: pop a batch from its queue, lease
+//   a shard, expire any request whose deadline passed while queued, and
+//   run the rest through serve::execute_batch. Batch workers pop from
+//   the small queue with the policy window; the one large worker pops
+//   one request at a time, with no window, and leases the large shard
+//   (a one-shard MachinePool of its own), so a big query never sits
+//   behind a batch (and a batch never waits on a big query).
 // * shutdown(drain=true) closes admissions and drains: every admitted
 //   request still executes. drain=false answers the backlog with
 //   kRejectedShutdown instead. The destructor drains.
@@ -57,8 +57,6 @@ struct ServiceConfig {
   std::size_t shards = 2;             ///< MachinePool size (batch path).
   unsigned threads_per_shard = 0;     ///< 0 = support::env_threads().
   std::size_t workers = 2;            ///< batch worker threads.
-  bool large_shard = true;  ///< dedicated shard+worker for big queries;
-                            ///< off = everything rides the batch path.
   BatchPolicy batch;
   std::uint64_t master_seed = 0x19910722ULL;
   bool trace = false;  ///< attach a trace::Recorder per shard.
@@ -74,25 +72,6 @@ struct ServiceConfig {
   /// thread-parallel fast path. A request naming a kind explicitly
   /// always wins over this. kDefault here is sanitized to kPram.
   exec::BackendKind backend = exec::BackendKind::kPram;
-};
-
-/// Monotonic service counters (all since construction).
-struct StatsSnapshot {
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected_full = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t completed = 0;       ///< Answered kOk.
-  std::uint64_t batches = 0;         ///< PRAM batch runs (small path).
-  std::uint64_t batched_requests = 0;///< Requests summed over batches.
-  std::uint64_t max_batch = 0;       ///< Largest batch coalesced.
-  std::uint64_t large_requests = 0;  ///< Requests routed large.
-
-  double mean_batch() const noexcept {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(batched_requests) /
-                              static_cast<double>(batches);
-  }
 };
 
 class HullService {
@@ -115,8 +94,6 @@ class HullService {
   /// rejects it.
   void shutdown(bool drain = true);
 
-  StatsSnapshot stats() const;
-
   /// The service-level metrics registry (serve/stats.h documents the
   /// instruments and the reconciliation invariants). Snapshot it any
   /// time; hullserved serves it as the `statz` wire command and
@@ -129,6 +106,10 @@ class HullService {
   const stats::Registry& stats_registry() const noexcept {
     return stats_registry_;
   }
+
+  /// The service's native engine. hullserved's SessionManager rebuilds
+  /// on it too, so one process runs one native thread pool.
+  exec::NativeBackend& native_backend() noexcept { return native_; }
 
   std::size_t shard_count() const noexcept { return pool_.size(); }
   /// Shard `i`'s recorder (the large shard is index shard_count()), or
@@ -144,11 +125,12 @@ class HullService {
   }
 
  private:
-  void batch_worker();
-  void large_worker();
+  /// The one worker loop; `large` picks the large queue and shard.
+  void worker(bool large);
   void answer_rejection(Pending& p, Status status);
   void finish_batch(std::vector<Pending> batch, MachinePool::Lease lease,
-                    Clock::time_point popped, const char* close_tag);
+                    bool large, Clock::time_point popped,
+                    Clock::time_point dequeued, const char* tag);
   static std::future<Response> ready_response(Response r);
   /// Assemble + publish one completed request's span tree (no-op
   /// without a flight recorder). `phase_spans` were extracted from the
@@ -174,9 +156,8 @@ class HullService {
   // and before the workers (they publish into it until they join).
   std::unique_ptr<obs::FlightRecorder> flight_;
   // Recorders before machines: machines are detached from observers by
-  // destruction order (pool after recorders would dangle — so pool_
-  // and large_machine_ are declared after recorders_ and destroyed
-  // first).
+  // destruction order (pools after recorders would dangle — so the
+  // pools are declared after recorders_ and destroyed first).
   std::vector<std::unique_ptr<trace::Recorder>> recorders_;
   // The native engine is shared by every worker: NativeBackend::
   // upper_hull is safe to call concurrently (each call owns its own
@@ -185,16 +166,10 @@ class HullService {
   // workers wrap their leased machine in a stack PramBackend per batch.
   exec::NativeBackend native_;
   MachinePool pool_;
-  std::unique_ptr<pram::Machine> large_machine_;
+  MachinePool large_pool_;  ///< the large shard (index pool_.size()).
   BoundedQueue small_queue_;
   BoundedQueue large_queue_;
 
-  struct Stats {
-    std::atomic<std::uint64_t> submitted{0}, rejected_full{0},
-        rejected_shutdown{0}, expired{0}, completed{0}, batches{0},
-        batched_requests{0}, max_batch{0}, large_requests{0};
-  };
-  mutable Stats stats_;
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<bool> closed_{false};
   std::atomic<bool> abandon_{false};  ///< drain=false shutdown.

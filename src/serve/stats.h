@@ -58,13 +58,12 @@ inline constexpr const char* kBackendBase = "iph_serve_backend_requests_total";
 
 /// Typed handles into a Registry for every serving instrument (see
 /// statnames for the exported spellings). `pool_shards` sizes the
-/// per-shard busy counters (labeled "0".."n-1"); when `large_shard` is
-/// true one more counter labeled "large" is appended (index
-/// pool_shards) for the dedicated large-query machine.
+/// per-shard busy counters (labeled "0".."n-1"); one more counter
+/// labeled "large" follows them (index pool_shards) for the large
+/// shard.
 class ServeStats {
  public:
-  ServeStats(stats::Registry& registry, std::size_t pool_shards,
-             bool large_shard);
+  ServeStats(stats::Registry& registry, std::size_t pool_shards);
 
   // Admission and terminal-state counters.
   stats::Counter& submitted;
@@ -98,8 +97,7 @@ class ServeStats {
   stats::Histogram& exec_ms;
   stats::Histogram& e2e_ms;
 
-  /// busy-time counters, one per shard index ("large" is the last when
-  /// the service runs a dedicated large shard).
+  /// busy-time counters, one per shard index ("large" is the last).
   std::vector<stats::Counter*> shard_busy_us;
 
   /// Fold a finished run's PRAM counters into the registry's

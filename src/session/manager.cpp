@@ -35,13 +35,14 @@ const char* session_status_name(SessionStatus s) noexcept {
 }
 
 SessionManager::SessionManager(const ManagerConfig& cfg,
+                               exec::NativeBackend& native,
                                stats::Registry& registry,
                                obs::FlightRecorder* flight)
     : cfg_(cfg),
       stats_(registry),
       flight_(flight),
-      native_(cfg.native_threads),
-      machine_(cfg.pram_threads, cfg.master_seed) {
+      native_(native),
+      machine_(/*threads=*/0, cfg.master_seed) {
   if (cfg_.default_backend == exec::BackendKind::kDefault) {
     cfg_.default_backend = exec::BackendKind::kNative;
   }

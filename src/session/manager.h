@@ -3,15 +3,16 @@
 //
 // Owns the live-session table (monotonic ids so "never existed" and
 // "already closed" stay distinguishable for the wire layer), the
-// admission cap, the rebuild engines, and the SessionStats bundle.
+// admission cap, the PRAM rebuild machine, and the SessionStats bundle.
 // hullserved keeps exactly one of these next to its HullService and
 // routes session_open/append/close wire commands here; batch requests
 // keep flowing through the service untouched.
 //
 // Concurrency model: the table mutex covers only id allocation and
 // lookup; each session carries its own mutex, so appends on different
-// sessions run in parallel. Rebuilds on native-backend sessions share
-// the manager's one NativeBackend (its upper_hull is thread-safe);
+// sessions run in parallel. Rebuilds on native-backend sessions run on
+// the caller's NativeBackend (its upper_hull is thread-safe; hullserved
+// passes its service's, so a process runs one native thread pool);
 // pram-backend sessions serialize on the manager's single owned
 // pram::Machine — the simulator demands exclusive access, and rebuild
 // audits are rare by construction (pending_limit / staleness_limit),
@@ -55,8 +56,6 @@ struct ManagerConfig {
   SessionConfig session;
   /// Rebuild engine for sessions that open with kDefault.
   exec::BackendKind default_backend = exec::BackendKind::kNative;
-  unsigned native_threads = 0;  ///< 0 = support::env_threads()
-  unsigned pram_threads = 0;
   std::uint64_t master_seed = 0x19910722ULL;
 };
 
@@ -88,14 +87,17 @@ struct CloseSummary {
 
 class SessionManager {
  public:
-  /// `flight` (optional, non-owning, must outlive the manager) receives
-  /// a kind="session" trace per append — a session_append root plus a
-  /// rebuild child iff the append rebuilt, so
-  /// iph_obs_spans_recorded_total{kind=session} == appends + rebuilds
-  /// (the scrape-reconciliation identity hullload --stream checks).
+  /// `native` (non-owning, must outlive the manager) runs the rebuilds
+  /// of native-backend sessions. `flight` (optional, non-owning, must
+  /// outlive the manager) receives a kind="session" trace per append —
+  /// a session_append root plus a rebuild child iff the append rebuilt,
+  /// so iph_obs_spans_recorded_total{kind=session} == appends +
+  /// rebuilds (the scrape-reconciliation identity hullload --stream
+  /// checks).
   /// hullserved passes its service's flight recorder so request and
   /// session traces share one tracez ring.
-  SessionManager(const ManagerConfig& cfg, stats::Registry& registry,
+  SessionManager(const ManagerConfig& cfg, exec::NativeBackend& native,
+                 stats::Registry& registry,
                  obs::FlightRecorder* flight = nullptr);
 
   SessionManager(const SessionManager&) = delete;
@@ -128,7 +130,7 @@ class SessionManager {
   ManagerConfig cfg_;
   SessionStats stats_;
   obs::FlightRecorder* flight_ = nullptr;  ///< May be null (no tracing).
-  exec::NativeBackend native_;
+  exec::NativeBackend& native_;
   pram::Machine machine_;
   std::mutex machine_mu_;
 

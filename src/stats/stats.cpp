@@ -71,10 +71,6 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 }
 
 void Histogram::record(double v) noexcept {
-  if constexpr (!kEnabled) {
-    (void)v;
-    return;
-  }
   // First bound >= v, i.e. the Prometheus `le` bucket; past-the-end is
   // the +Inf overflow slot.
   const std::size_t idx = static_cast<std::size_t>(

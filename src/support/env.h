@@ -16,8 +16,8 @@
 //                    processors than this runs inline on the calling
 //                    thread instead of through the pool. Scheduling
 //                    only — results and PRAM metrics never depend on it.
-//                    Clamped to >= 1; the serving batcher tunes it per
-//                    shard via Machine::set_grain.
+//                    Clamped to >= 1; Machine::set_grain overrides it
+//                    per machine.
 //
 // The bench/report harness reads further knobs (IPH_BENCH_OUT_DIR,
 // IPH_BENCH_MAX_N, IPH_BENCH_BASELINE_DIR, IPH_BENCH_TOL,

@@ -43,12 +43,6 @@ Json span_event(const std::string& name, int tid, double ts_us,
   return e;
 }
 
-struct OpenSpan {
-  std::string name;
-  double wall_us;
-  std::uint64_t step;
-};
-
 /// Counter sample ("C" event) on the PRAM virtual-time axis: ts is the
 /// PRAM step (1us = 1 step, matching the tid-2 span track), args carries
 /// one value per series of the named counter track.
@@ -75,38 +69,20 @@ Json chrome_trace_json(const Recorder& rec) {
   events.push_back(
       meta_event("thread_name", kTidPram, "PRAM virtual time (1us = 1 step)"));
 
-  std::vector<OpenSpan> stack;
-  double last_wall = 0;
-  std::uint64_t last_step = 0;
-  for (const TraceEvent& e : rec.events()) {
-    last_wall = e.wall_us;
-    last_step = e.step;
-    if (e.kind == TraceEvent::Kind::kOpen) {
-      stack.push_back(OpenSpan{e.name, e.wall_us, e.step});
-      continue;
-    }
-    if (stack.empty()) continue;  // unmatched close (truncated log)
-    const OpenSpan s = stack.back();
-    stack.pop_back();
-    events.push_back(span_event(s.name, kTidWall, s.wall_us,
-                                e.wall_us - s.wall_us, s.step, e.step));
-    events.push_back(span_event(s.name, kTidPram,
-                                static_cast<double>(s.step),
-                                static_cast<double>(e.step - s.step), s.step,
-                                e.step));
-  }
-  // Phases still open when the log ended (cap hit mid-phase): close them
-  // at the last observed stamp so the export stays loadable.
-  while (!stack.empty()) {
-    const OpenSpan s = stack.back();
-    stack.pop_back();
-    events.push_back(span_event(s.name, kTidWall, s.wall_us,
-                                last_wall - s.wall_us, s.step, last_step));
-    events.push_back(span_event(s.name, kTidPram,
-                                static_cast<double>(s.step),
-                                static_cast<double>(last_step - s.step),
-                                s.step, last_step));
-  }
+  // Spans in close order; phases still open when the log ended (cap hit
+  // mid-phase) close at the last stamp so the export stays loadable.
+  match_phases(
+      rec.events(),
+      [](std::size_t, std::size_t, const TraceEvent&) { return true; },
+      [&](std::size_t, const TraceEvent& open, const TraceEvent& at) {
+        events.push_back(span_event(open.name, kTidWall, open.wall_us,
+                                    at.wall_us - open.wall_us, open.step,
+                                    at.step));
+        events.push_back(span_event(open.name, kTidPram,
+                                    static_cast<double>(open.step),
+                                    static_cast<double>(at.step - open.step),
+                                    open.step, at.step));
+      });
 
   // Utilization + space counter tracks against PRAM virtual time, one
   // sample per timeline bucket (see Recorder::timeline). The viewer

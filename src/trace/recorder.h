@@ -24,8 +24,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +76,48 @@ struct TraceEvent {
   std::uint64_t step = 0;  ///< Machine step index at the event.
   double wall_us = 0;      ///< Microseconds since the recorder's epoch.
 };
+
+/// `parent` of a phase opened at the top level of match_phases' walk.
+inline constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+
+/// The one open/close matcher over an event log (chrome_trace.h and
+/// obs/phase_link.h both render phases from it). Walks `events` in
+/// order, calling
+///   on_open(ordinal, parent, open) -> bool  for each open event:
+///       `ordinal` numbers the opens from 0 and `parent` is the ordinal
+///       of the innermost phase still open (kNoParent if none);
+///       returning false stops the walk at this event;
+///   on_close(ordinal, open, at)             when phase `ordinal` closes
+///       at event `at`.
+/// An unmatched close (a sliced or truncated log) is skipped; phases
+/// still open when the walk ends close innermost first at the last
+/// event walked.
+template <class OnOpen, class OnClose>
+void match_phases(std::span<const TraceEvent> events, OnOpen&& on_open,
+                  OnClose&& on_close) {
+  struct Open {
+    std::size_t ordinal;
+    const TraceEvent* event;
+  };
+  std::vector<Open> open;
+  std::size_t next = 0;
+  const TraceEvent* last = nullptr;
+  for (const TraceEvent& e : events) {
+    last = &e;
+    if (e.kind == TraceEvent::Kind::kOpen) {
+      if (!on_open(next, open.empty() ? kNoParent : open.back().ordinal, e)) {
+        break;
+      }
+      open.push_back({next++, &e});
+    } else if (!open.empty()) {
+      on_close(open.back().ordinal, *open.back().event, e);
+      open.pop_back();
+    }
+  }
+  for (; !open.empty(); open.pop_back()) {
+    on_close(open.back().ordinal, *open.back().event, *last);
+  }
+}
 
 class Recorder final : public pram::PhaseObserver {
  public:

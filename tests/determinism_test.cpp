@@ -16,6 +16,7 @@
 #include "core/presorted_logstar.h"
 #include "core/unsorted2d.h"
 #include "core/unsorted3d.h"
+#include "exec/pram_backend.h"
 #include "geom/workloads.h"
 #include "pram/machine.h"
 #include "serve/batcher.h"
@@ -132,8 +133,10 @@ TEST(ServeDeterminism, BatchedEqualsSoloBitIdentical) {
   }
 
   pram::Machine batch_machine(2, kMaster);
-  const auto batched =
-      serve::execute_batch(batch_machine, reqs, kMaster);
+  exec::PramBackend batch_backend(batch_machine);
+  serve::BackendSet batch_set;
+  batch_set.pram = &batch_backend;
+  const auto batched = serve::execute_batch(batch_set, reqs, kMaster);
   ASSERT_EQ(batched.size(), reqs.size());
 
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -154,7 +157,10 @@ TEST(ServeDeterminism, BatchedEqualsSoloBitIdentical) {
   // Batch composition must not matter: reversed order, one machine.
   std::vector<serve::Request> reversed(reqs.rbegin(), reqs.rend());
   pram::Machine other(1, 0xdeadULL);  // pool seed is irrelevant too
-  const auto rebatched = serve::execute_batch(other, reversed, kMaster);
+  exec::PramBackend other_backend(other);
+  serve::BackendSet other_set;
+  other_set.pram = &other_backend;
+  const auto rebatched = serve::execute_batch(other_set, reversed, kMaster);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     const auto& fwd = batched[i];
     const auto& rev = rebatched[reqs.size() - 1 - i];

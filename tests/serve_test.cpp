@@ -65,9 +65,9 @@ TEST(BoundedQueue, RejectsWhenFullAndAfterClose) {
   Pending d;
   EXPECT_EQ(q.push(d), BoundedQueue::Admit::kClosed);
   // close() drains: both admitted items still come out, then empty.
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_TRUE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());
+  EXPECT_EQ(q.pop_batch(1, kMaxBatchPoints, 0us).size(), 1u);
+  EXPECT_EQ(q.pop_batch(1, kMaxBatchPoints, 0us).size(), 1u);
+  EXPECT_TRUE(q.pop_batch(1, kMaxBatchPoints, 0us).empty());
 }
 
 TEST(BoundedQueue, PopBatchRespectsBudgetsAndTakesOversizedFirst) {
@@ -210,7 +210,8 @@ TEST(HullService, DeadlineExpiryMidQueueAnswersExpired) {
   r.deadline = Clock::now() - 1ms;  // already past when dequeued
   Response resp = svc.submit(std::move(r)).get();
   EXPECT_EQ(resp.status, Status::kExpired);
-  EXPECT_EQ(svc.stats().expired, 1u);
+  EXPECT_EQ(svc.stats_registry().snapshot().counter_or0(statnames::kExpired),
+            1u);
   // A generous deadline is met normally.
   Request ok = make_request(6, 200, 1);
   ok.deadline = Clock::now() + 10min;
@@ -243,9 +244,11 @@ TEST(HullService, QueueFullRejectsWithReason) {
   }
   EXPECT_GT(full, 0u) << "capacity-1 queue never overflowed";
   EXPECT_GT(ok, 0u);
-  const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.rejected_full, full);
-  EXPECT_EQ(s.submitted, futs.size());
+  const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
+  EXPECT_EQ(s.counter_or0(
+                stats::labeled(statnames::kRejectedBase, "reason", "full")),
+            full);
+  EXPECT_EQ(s.counter_or0(statnames::kSubmitted), futs.size());
 }
 
 TEST(HullService, LargeRequestsRouteToTheDedicatedShard) {
@@ -258,7 +261,113 @@ TEST(HullService, LargeRequestsRouteToTheDedicatedShard) {
   ASSERT_EQ(small.status, Status::kOk);
   EXPECT_EQ(big.metrics.shard, svc.shard_count());  // large shard index
   EXPECT_LT(small.metrics.shard, svc.shard_count());
-  EXPECT_EQ(svc.stats().large_requests, 1u);
+  EXPECT_EQ(svc.stats_registry().snapshot().counter_or0(
+                statnames::kLargeRequests),
+            1u);
+}
+
+// --- the large-query path ---------------------------------------------
+//
+// Large requests drain through the large queue onto the large shard.
+// These cases pin what callers see of that path: terminal states,
+// counters, busy-time metering and the span-tree shape.
+
+ServiceConfig large_config() {
+  ServiceConfig cfg = small_config();
+  cfg.batch.small_threshold = 256;
+  return cfg;
+}
+
+TEST(HullServiceLarge, ExpiredLargeRequestAnswersExpired) {
+  HullService svc(large_config());
+  Request r = make_request(0, 1000, 9);
+  r.deadline = Clock::now() - 1ms;
+  const Response resp = svc.submit(std::move(r)).get();
+  EXPECT_EQ(resp.status, Status::kExpired);
+  EXPECT_EQ(resp.metrics.e2e_ms, resp.metrics.queue_wait_ms);
+  const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
+  EXPECT_EQ(snap.counter_or0(statnames::kExpired), 1u);
+  EXPECT_EQ(snap.counter_or0(statnames::kLargeRequests), 1u);
+  EXPECT_EQ(snap.counter_or0(statnames::kCompleted), 0u);
+}
+
+TEST(HullServiceLarge, AbandonShutdownRejectsTheLargeBacklog) {
+  HullService svc(large_config());
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 8; ++i) {
+    futs.push_back(svc.submit(make_request(0, 4096, 10 + i)));
+  }
+  svc.shutdown(/*drain=*/false);
+  std::uint64_t ok = 0, rejected = 0;
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(0s), std::future_status::ready);
+    const Status s = f.get().status;
+    if (s == Status::kOk) {
+      ++ok;
+    } else {
+      EXPECT_EQ(s, Status::kRejectedShutdown);
+      ++rejected;
+    }
+  }
+  // The one worker holds at most the request it was running; the rest
+  // of the backlog is abandoned, never silently dropped.
+  EXPECT_GT(rejected, 0u);
+  const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
+  EXPECT_EQ(snap.counter_or0(statnames::kCompleted), ok);
+  EXPECT_EQ(snap.counter_or0(stats::labeled(statnames::kRejectedBase,
+                                            "reason", "shutdown")),
+            rejected);
+  EXPECT_EQ(*snap.gauge(stats::labeled(statnames::kQueueDepthBase, "queue",
+                                       "large")),
+            0);
+}
+
+TEST(HullServiceLarge, PublishesAFourSpanLargeTreeWithZeroLengthLease) {
+  HullService svc(large_config());
+  ASSERT_EQ(svc.submit(make_request(0, 1000, 9)).get().status, Status::kOk);
+  svc.shutdown();
+  const std::vector<obs::CompletedTrace> traces =
+      svc.flight_recorder()->snapshot();
+  ASSERT_EQ(traces.size(), 1u);
+  const obs::CompletedTrace& t = traces[0];
+  EXPECT_STREQ(t.tag, "large");
+  EXPECT_EQ(t.batch_size, 1u);
+  ASSERT_EQ(t.spans.size(), static_cast<std::size_t>(obs::kSpansPerRequest));
+  const obs::Span& lease = t.spans[obs::kLeaseSpanId - 1];
+  ASSERT_STREQ(lease.name, "lease");
+  EXPECT_EQ(lease.start_ns, lease.end_ns);
+  EXPECT_EQ(t.spans[obs::kQueueWaitSpanId - 1].end_ns, lease.start_ns);
+}
+
+TEST(HullServiceLarge, MetersLargeShardBusyTimeOutsideTheBatchCounters) {
+  namespace sn = statnames;
+  HullService svc(large_config());
+  const std::string busy_large =
+      stats::labeled(sn::kShardBusyBase, "shard", "large");
+  const Response big = svc.submit(make_request(0, 4096, 9)).get();
+  ASSERT_EQ(big.status, Status::kOk);
+  EXPECT_EQ(big.metrics.batch_size, 1u);
+  stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
+  EXPECT_GT(snap.counter_or0(busy_large), 0u);
+  // Large runs are not batches: no batch, close reason or batch size.
+  EXPECT_EQ(snap.counter_or0(sn::kBatches), 0u);
+  for (const char* r : {"window", "requests", "points", "closed"}) {
+    EXPECT_EQ(snap.counter_or0(stats::labeled(sn::kBatchCloseBase, "reason",
+                                              r)),
+              0u)
+        << r;
+  }
+  ASSERT_NE(snap.histogram(sn::kBatchSize), nullptr);
+  EXPECT_EQ(snap.histogram(sn::kBatchSize)->count, 0u);
+  EXPECT_EQ(*snap.gauge(sn::kShardsLeased), 0);
+  const std::uint64_t busy_after_large = snap.counter_or0(busy_large);
+
+  // A small request is the batch path's: one batch, large busy flat.
+  ASSERT_EQ(svc.submit(make_request(0, 100, 9)).get().status, Status::kOk);
+  snap = svc.stats_registry().snapshot();
+  EXPECT_EQ(snap.counter_or0(sn::kBatches), 1u);
+  EXPECT_EQ(snap.counter_or0(busy_large), busy_after_large);
+  EXPECT_EQ(snap.counter_or0(sn::kCompleted), 2u);
 }
 
 TEST(HullService, SubmitAfterShutdownIsRejected) {
@@ -310,13 +419,18 @@ TEST(HullService, ConcurrentSubmitAndShutdownDrainAnswersEverything) {
       }
     }
   }
-  const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.submitted, kClients * kPerClient);
+  namespace sn = statnames;
+  const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
+  EXPECT_EQ(s.counter_or0(sn::kSubmitted), kClients * kPerClient);
   EXPECT_EQ(ok + rejected + full, kClients * kPerClient);
   // Drain semantics: everything admitted before close executed.
-  EXPECT_EQ(s.completed, ok);
-  EXPECT_EQ(s.rejected_shutdown, rejected);
-  EXPECT_EQ(s.rejected_full, full);
+  EXPECT_EQ(s.counter_or0(sn::kCompleted), ok);
+  EXPECT_EQ(s.counter_or0(stats::labeled(sn::kRejectedBase, "reason",
+                                         "shutdown")),
+            rejected);
+  EXPECT_EQ(
+      s.counter_or0(stats::labeled(sn::kRejectedBase, "reason", "full")),
+      full);
 }
 
 TEST(HullService, ShutdownWithoutDrainAbandonsTheBacklog) {
@@ -391,23 +505,29 @@ TEST(HullService, BatchingCoalescesABurst) {
   for (auto& f : futs) {
     EXPECT_EQ(f.get().status, Status::kOk);
   }
-  const StatsSnapshot s = svc.stats();
-  EXPECT_EQ(s.completed, 32u);
+  const stats::RegistrySnapshot s = svc.stats_registry().snapshot();
+  EXPECT_EQ(s.counter_or0(statnames::kCompleted), 32u);
   // One worker + a 20ms window: the burst cannot have run one-per-batch.
-  EXPECT_LT(s.batches, 32u);
-  EXPECT_GT(s.max_batch, 1u);
-  EXPECT_GT(s.mean_batch(), 1.0);
+  const std::uint64_t batches = s.counter_or0(statnames::kBatches);
+  EXPECT_LT(batches, 32u);
+  const stats::HistogramSnapshot* sizes = s.histogram(statnames::kBatchSize);
+  ASSERT_NE(sizes, nullptr);
+  ASSERT_EQ(sizes->count, batches);
+  EXPECT_GT(sizes->mean(), 1.0);
 }
 
 TEST(ExecuteBatch, ReportsPerRequestCompletionAndPramTotals) {
   pram::Machine m(2, 99);
+  exec::PramBackend pram_backend(m);
+  BackendSet backends;
+  backends.pram = &pram_backend;
   std::vector<Request> reqs;
   for (int i = 0; i < 4; ++i) {
     reqs.push_back(make_request(static_cast<RequestId>(i + 1), 128, 11));
   }
   BatchExecInfo info;
   const std::vector<Response> rs =
-      execute_batch(m, reqs, /*master_seed=*/7, &info);
+      execute_batch(backends, reqs, /*master_seed=*/7, &info);
   ASSERT_EQ(rs.size(), reqs.size());
   ASSERT_EQ(info.completed_at.size(), reqs.size());
   // Requests execute back-to-back inside the lease: completion stamps
@@ -494,20 +614,16 @@ TEST(HullService, StatsRegistryReconcilesAfterMixedTraffic) {
   EXPECT_GT(full, 0u) << "capacity-1 queue never overflowed";
   ASSERT_EQ(shutdown, 1u);
 
-  // The registry must agree with the legacy StatsSnapshot AND with the
-  // per-future tally — the invariants hullload --scrape asserts live.
+  // The registry must agree with the per-future tally — the invariants
+  // hullload --scrape asserts live.
   namespace sn = statnames;
   const stats::RegistrySnapshot snap = svc.stats_registry().snapshot();
-  const StatsSnapshot legacy = svc.stats();
-  EXPECT_EQ(snap.counter_or0(sn::kSubmitted), legacy.submitted);
-  EXPECT_EQ(snap.counter_or0(sn::kCompleted), legacy.completed);
-  EXPECT_EQ(snap.counter_or0(sn::kExpired), legacy.expired);
   EXPECT_EQ(snap.counter_or0(
                 stats::labeled(sn::kRejectedBase, "reason", "full")),
-            legacy.rejected_full);
+            full);
   EXPECT_EQ(snap.counter_or0(
                 stats::labeled(sn::kRejectedBase, "reason", "shutdown")),
-            legacy.rejected_shutdown);
+            shutdown);
   EXPECT_EQ(snap.counter_or0(sn::kCompleted), ok);
   EXPECT_EQ(snap.counter_or0(sn::kExpired), expired);
   EXPECT_EQ(snap.counter_or0(sn::kSubmitted), futs.size());
@@ -698,8 +814,54 @@ TEST(HullService, WireResponseIdenticalAcrossBackends) {
             tools::response_to_json(by[1], /*edge_above=*/false).dump());
 }
 
-// The BackendSet seam itself: per-request dispatch, the pram fallback
-// when no native engine is wired, and the legacy machine-only overload.
+// Numbers beyond the double range parse to +-inf; both message kinds
+// that carry inline points must reject them with a named error instead
+// of serving a hull over them.
+TEST(ServeWire, NonFinitePointsAreRejectedOnBothMessageKinds) {
+  for (const char* bad : {"1e400", "-1e400"}) {
+    const std::string pts = std::string("[[") + bad + ",0],[1,1],[2,0]]";
+    trace::Json req, app;
+    std::string err;
+    ASSERT_TRUE(trace::Json::parse("{\"id\":1,\"points\":" + pts + "}", &req,
+                                   &err))
+        << err;
+    ASSERT_TRUE(trace::Json::parse(
+        "{\"cmd\":\"session_append\",\"sid\":3,\"points\":" + pts + "}",
+        &app, &err))
+        << err;
+    Request r;
+    bool edge_above = false;
+    err.clear();
+    EXPECT_FALSE(tools::request_from_json(req, &r, &edge_above, &err)) << bad;
+    EXPECT_EQ(err, "\"points\" coordinates must be finite") << bad;
+    std::uint64_t sid = 0;
+    std::vector<geom::Point2> got;
+    err.clear();
+    EXPECT_FALSE(tools::session_append_from_json(app, &sid, &got, &err))
+        << bad;
+    EXPECT_EQ(err, "\"points\" coordinates must be finite") << bad;
+  }
+  // Finite extremes and the named-workload form still decode.
+  trace::Json ok;
+  std::string err;
+  ASSERT_TRUE(trace::Json::parse(
+      "{\"id\":2,\"points\":[[1e300,0],[-1e300,1],[0,-1e-300]]}", &ok, &err));
+  Request r;
+  bool edge_above = false;
+  ASSERT_TRUE(tools::request_from_json(ok, &r, &edge_above, &err)) << err;
+  EXPECT_EQ(r.points.size(), 3u);
+  ASSERT_TRUE(trace::Json::parse(
+      "{\"cmd\":\"session_append\",\"sid\":3,\"n\":5,\"workload\":\"disk\"}",
+      &ok, &err));
+  std::uint64_t sid = 0;
+  std::vector<geom::Point2> got;
+  ASSERT_TRUE(tools::session_append_from_json(ok, &sid, &got, &err)) << err;
+  EXPECT_EQ(sid, 3u);
+  EXPECT_EQ(got.size(), 5u);
+}
+
+// The BackendSet seam itself: per-request dispatch and the pram
+// fallback when no native engine is wired.
 TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
   pram::Machine m(2, 99);
   exec::PramBackend pram_backend(m);
@@ -732,12 +894,6 @@ TEST(ExecuteBatch, BackendSetDispatchesAndFallsBack) {
   EXPECT_EQ(rs[0].metrics.backend, exec::BackendKind::kPram);
   EXPECT_EQ(info.native_requests, 0u);
   EXPECT_EQ(info.pram_requests, 3u);
-
-  // The legacy overload is the pram-only set in disguise.
-  rs = execute_batch(m, reqs, 7, &info);
-  for (const Response& r : rs) {
-    EXPECT_EQ(r.metrics.backend, exec::BackendKind::kPram);
-  }
 }
 
 // --- request-scoped tracing (iph::obs) --------------------------------
@@ -766,7 +922,7 @@ TEST(ExecuteBatch, ReportsPerRequestStartStampsAndEventRanges) {
   ASSERT_EQ(info.pram_events.size(), reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     // Each request's exec interval is well-formed and disjoint from its
-    // predecessor's (back-to-back in the arena, never shared stamps).
+    // predecessor's (back-to-back in the lease, never shared stamps).
     EXPECT_LT(info.started_at[i].time_since_epoch().count(),
               info.completed_at[i].time_since_epoch().count());
     if (i > 0) {

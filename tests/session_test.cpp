@@ -284,7 +284,7 @@ TEST(SessionManager, StatusDiscrimination) {
   ManagerConfig cfg;
   cfg.max_sessions = 2;
   cfg.max_append_points = 10;
-  SessionManager mgr(cfg, reg);
+  SessionManager mgr(cfg, native(), reg);
   const std::vector<Point2> pts = geom::make2d(geom::Family2D::kDisk, 4, 1);
   AppendResult res;
   CloseSummary sum;
@@ -327,7 +327,7 @@ TEST(SessionManager, StatsReconcileAfterMixedTraffic) {
   cfg.max_append_points = 100;
   cfg.session.pending_limit = 16;
   cfg.session.staleness_limit = 4;
-  SessionManager mgr(cfg, reg);
+  SessionManager mgr(cfg, native(), reg);
   AppendResult res;
   CloseSummary sum;
 
@@ -412,7 +412,7 @@ TEST(SessionManager, ConcurrentSessionsStayOracleClean) {
   cfg.max_sessions = 16;
   cfg.session.pending_limit = 32;
   cfg.session.staleness_limit = 8;
-  SessionManager mgr(cfg, reg);
+  SessionManager mgr(cfg, native(), reg);
 
   const int kThreads = 8;
   const int kAppends = kSanitized ? 20 : 60;
@@ -554,7 +554,7 @@ TEST(SessionManager, AppendsPublishSessionTraces) {
   cfg.session.pending_limit = 8;  // force some rebuilds
   cfg.session.staleness_limit = 2;
   obs::FlightRecorder flight(obs::ObsConfig{}, reg);
-  SessionManager mgr(cfg, reg, &flight);
+  SessionManager mgr(cfg, native(), reg, &flight);
 
   OpenInfo info;
   ASSERT_EQ(mgr.open(exec::BackendKind::kNative, &info), SessionStatus::kOk);

@@ -21,28 +21,6 @@
 namespace iph::stats {
 namespace {
 
-#if defined(IPH_STATS_DISABLED)
-
-// Under -DIPH_STATS_COMPILED_OUT=ON (the overhead-measurement knob)
-// recording is an empty inline by contract: registries and snapshots
-// keep working and read all-zero. That contract is the only thing to
-// test in this configuration.
-TEST(Stats, CompiledOutRecordingIsANoOp) {
-  EXPECT_FALSE(kEnabled);
-  Registry reg;
-  Counter& c = reg.counter("c_total");
-  Histogram& h = reg.histogram("h", {1.0});
-  c.inc(5);
-  h.record(0.5);
-  EXPECT_EQ(c.value(), 0u);
-  const RegistrySnapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_or0("c_total"), 0u);
-  ASSERT_NE(snap.histogram("h"), nullptr);
-  EXPECT_EQ(snap.histogram("h")->count, 0u);
-}
-
-#else
-
 TEST(Counter, MonotonicAndDefaultStep) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
@@ -75,6 +53,8 @@ TEST(Histogram, LeBucketSemantics) {
   EXPECT_EQ(s.buckets[3], 1u);  // 9.0 -> +Inf
   EXPECT_EQ(s.count, 5u);
   EXPECT_DOUBLE_EQ(s.sum, 16.0);
+  EXPECT_DOUBLE_EQ(s.mean(), 3.2);
+  EXPECT_DOUBLE_EQ(HistogramSnapshot{}.mean(), 0.0);
 }
 
 TEST(Histogram, BoundsAreSanitized) {
@@ -289,8 +269,6 @@ TEST(Export, PrometheusShape) {
             std::string::npos);
   EXPECT_NE(text.find("lat_count{queue=\"small\"} 2"), std::string::npos);
 }
-
-#endif  // IPH_STATS_DISABLED
 
 }  // namespace
 }  // namespace iph::stats

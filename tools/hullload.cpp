@@ -76,8 +76,6 @@
 // Exit codes: 0 done, 1 with --expect-all-ok if any request was
 // rejected/expired/errored or with --scrape on reconcile/tolerance
 // failure, 2 usage error, 3 connect failure.
-#include <netdb.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -94,6 +92,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/endpoint.h"
 #include "cluster/merge.h"
 #include "cluster/stats.h"
 #include "exec/backend.h"
@@ -153,7 +152,7 @@ int usage(const char* argv0) {
       "          [--workload W] [--seed S] [--deadline-ms D]\n"
       "          [--connect HOST:PORT | --endpoints H:P[,H:P...] |\n"
       "           --shards N --workers N --threads N\n"
-      "           --capacity N --window-us U --no-large]\n"
+      "           --capacity N --window-us U]\n"
       "          [--backend pram|native|default]\n"
       "          [--stream] [--append-points K]\n"
       "          [--expect-all-ok] [--json]\n"
@@ -273,28 +272,12 @@ Tally run_client_inproc(HullService& svc, const Options& opt, int client,
   return t;
 }
 
+/// Dial "host:port" (cluster/endpoint.h); -1 if it does not parse or
+/// connect.
 int connect_to(const std::string& hostport) {
-  const auto colon = hostport.rfind(':');
-  if (colon == std::string::npos) return -1;
-  const std::string host = hostport.substr(0, colon);
-  const std::string port = hostport.substr(colon + 1);
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  if (::getaddrinfo(host.c_str(), port.c_str(), &hints, &res) != 0) {
-    return -1;
-  }
-  int fd = -1;
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(res);
-  return fd;
+  iph::cluster::Endpoint ep;
+  return iph::cluster::parse_endpoint(hostport, &ep) ? iph::cluster::dial(ep)
+                                                     : -1;
 }
 
 Tally run_client_tcp(const Options& opt, const std::string& target,
@@ -1002,17 +985,11 @@ int main(int argc, char** argv) {
     } else if (a == "--connect" && (v = next())) {
       opt.connect = v;
     } else if (a == "--endpoints" && (v = next())) {
+      std::vector<iph::cluster::Endpoint> eps;
+      if (!iph::cluster::parse_endpoint_list(v, &eps)) return usage(argv[0]);
       opt.endpoints.clear();
-      std::string item;
-      for (const char* p = v;; ++p) {
-        if (*p == ',' || *p == '\0') {
-          if (item.empty()) return usage(argv[0]);
-          opt.endpoints.push_back(item);
-          item.clear();
-          if (*p == '\0') break;
-        } else {
-          item.push_back(*p);
-        }
+      for (const iph::cluster::Endpoint& ep : eps) {
+        opt.endpoints.push_back(ep.str());
       }
     } else if (a == "--backend" && (v = next())) {
       if (!iph::exec::parse_backend(v, &opt.backend)) return usage(argv[0]);
@@ -1026,8 +1003,6 @@ int main(int argc, char** argv) {
       opt.cfg.queue_capacity = static_cast<std::size_t>(std::atoll(v));
     } else if (a == "--window-us" && (v = next())) {
       opt.cfg.batch.window = std::chrono::microseconds(std::atoll(v));
-    } else if (a == "--no-large") {
-      opt.cfg.large_shard = false;
     } else if (a == "--stream") {
       opt.stream = true;
     } else if (a == "--append-points" && (v = next())) {
@@ -1077,6 +1052,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<HullService> svc;
   std::unique_ptr<iph::stats::Registry> stream_registry;
   std::unique_ptr<iph::obs::FlightRecorder> stream_flight;
+  std::unique_ptr<iph::exec::NativeBackend> stream_engine;
   std::unique_ptr<iph::session::SessionManager> mgr;
   if (inproc && opt.stream) {
     iph::session::ManagerConfig mc;
@@ -1089,8 +1065,9 @@ int main(int argc, char** argv) {
     // session-trace path and the obs reconciliation identities too.
     stream_flight = std::make_unique<iph::obs::FlightRecorder>(
         iph::obs::ObsConfig{}, *stream_registry);
+    stream_engine = std::make_unique<iph::exec::NativeBackend>();
     mgr = std::make_unique<iph::session::SessionManager>(
-        mc, *stream_registry, stream_flight.get());
+        mc, *stream_engine, *stream_registry, stream_flight.get());
   } else if (inproc) {
     svc = std::make_unique<HullService>(opt.cfg);
   }
@@ -1192,16 +1169,16 @@ int main(int argc, char** argv) {
                  p50, p95, p99);
   }
   double mean_batch = 0;
-  std::uint64_t large = 0;
   if (inproc && !opt.stream) {
     svc->shutdown(/*drain=*/true);
-    const iph::serve::StatsSnapshot s = svc->stats();
-    mean_batch = s.mean_batch();
-    large = s.large_requests;
-    std::fprintf(stderr, "  service: mean batch %.2f  max batch %llu  "
-                         "large %llu\n",
-                 mean_batch, static_cast<unsigned long long>(s.max_batch),
-                 static_cast<unsigned long long>(large));
+    namespace sn = iph::serve::statnames;
+    const iph::stats::RegistrySnapshot s = svc->stats_registry().snapshot();
+    const iph::stats::HistogramSnapshot* batch = s.histogram(sn::kBatchSize);
+    if (batch != nullptr) mean_batch = batch->mean();
+    std::fprintf(stderr, "  service: mean batch %.2f  large %llu\n",
+                 mean_batch,
+                 static_cast<unsigned long long>(
+                     s.counter_or0(sn::kLargeRequests)));
   }
 
   bool scrape_failed = false;

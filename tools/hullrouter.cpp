@@ -23,6 +23,7 @@
 // stderr. Exit codes: 0 clean, 2 usage error, 3 socket setup failure.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -206,6 +207,9 @@ int serve_tcp(Router& router, int port, bool quiet) {
       std::perror("hullrouter: accept");
       break;
     }
+    // Replies are single small writes: send each at once instead of
+    // holding it for the client's ACK (Nagle).
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     std::lock_guard<std::mutex> lk(conns_mu);
     conns.emplace_back([&router, conn] {
       serve_conn(router, conn, conn);

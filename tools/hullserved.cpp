@@ -24,6 +24,7 @@
 // error, 3 socket setup failure.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -53,7 +54,6 @@ namespace {
 using iph::serve::HullService;
 using iph::serve::Response;
 using iph::serve::ServiceConfig;
-using iph::serve::StatsSnapshot;
 using iph::session::SessionManager;
 using iph::tools::LineChannel;
 using iph::trace::Json;
@@ -63,7 +63,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--port P] [--shards N] [--workers N] [--threads N]\n"
       "          [--capacity N] [--window-us U] [--max-batch N]\n"
-      "          [--small-threshold N] [--no-large] [--seed S] [--quiet]\n"
+      "          [--small-threshold N] [--seed S] [--quiet]\n"
       "          [--stats-every-ms M] [--backend pram|native]\n"
       "          [--max-sessions N] [--max-append-points N]\n"
       "          [--session-pending N] [--session-staleness N]\n"
@@ -275,20 +275,25 @@ void serve_stream(HullService& svc, SessionManager& mgr, int in_fd,
   }
 }
 
-void print_stats(const StatsSnapshot& s) {
-  std::fprintf(stderr,
-               "hullserved: submitted %llu  ok %llu  rejected_full %llu  "
-               "rejected_shutdown %llu  expired %llu\n"
-               "hullserved: batches %llu  mean batch %.2f  max batch %llu  "
-               "large %llu\n",
-               static_cast<unsigned long long>(s.submitted),
-               static_cast<unsigned long long>(s.completed),
-               static_cast<unsigned long long>(s.rejected_full),
-               static_cast<unsigned long long>(s.rejected_shutdown),
-               static_cast<unsigned long long>(s.expired),
-               static_cast<unsigned long long>(s.batches), s.mean_batch(),
-               static_cast<unsigned long long>(s.max_batch),
-               static_cast<unsigned long long>(s.large_requests));
+void print_stats(const iph::stats::RegistrySnapshot& s) {
+  namespace sn = iph::serve::statnames;
+  using iph::stats::labeled;
+  const iph::stats::HistogramSnapshot* batch = s.histogram(sn::kBatchSize);
+  std::fprintf(
+      stderr,
+      "hullserved: submitted %llu  ok %llu  rejected_full %llu  "
+      "rejected_shutdown %llu  expired %llu\n"
+      "hullserved: batches %llu  mean batch %.2f  large %llu\n",
+      static_cast<unsigned long long>(s.counter_or0(sn::kSubmitted)),
+      static_cast<unsigned long long>(s.counter_or0(sn::kCompleted)),
+      static_cast<unsigned long long>(
+          s.counter_or0(labeled(sn::kRejectedBase, "reason", "full"))),
+      static_cast<unsigned long long>(
+          s.counter_or0(labeled(sn::kRejectedBase, "reason", "shutdown"))),
+      static_cast<unsigned long long>(s.counter_or0(sn::kExpired)),
+      static_cast<unsigned long long>(s.counter_or0(sn::kBatches)),
+      batch != nullptr ? batch->mean() : 0.0,
+      static_cast<unsigned long long>(s.counter_or0(sn::kLargeRequests)));
 }
 
 /// Background snapshot-diff logger (--stats-every-ms): every period,
@@ -414,6 +419,9 @@ int serve_tcp(HullService& svc, SessionManager& mgr, int port, bool quiet) {
       std::perror("hullserved: accept");
       break;
     }
+    // Replies are single small writes: send each at once instead of
+    // holding it for the client's ACK (Nagle).
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     const std::uint64_t conn_id = next_conn++;
     std::lock_guard<std::mutex> lk(sessions_mu);
     sessions.emplace_back([&svc, &mgr, conn, conn_id] {
@@ -488,8 +496,6 @@ int main(int argc, char** argv) {
       trace_out = v;
     } else if (a == "--tracez-out" && (v = next())) {
       tracez_out = v;
-    } else if (a == "--no-large") {
-      cfg.large_shard = false;
     } else if (a == "--quiet") {
       quiet = true;
     } else {
@@ -506,7 +512,9 @@ int main(int argc, char** argv) {
   mgr_cfg.master_seed = cfg.master_seed;
   // Session traces share the service's flight recorder, so one tracez
   // ring covers batch and streaming traffic alike.
-  SessionManager mgr(mgr_cfg, svc.stats_registry(), svc.flight_recorder());
+  // Rebuilds run on the service's native engine: one thread pool.
+  SessionManager mgr(mgr_cfg, svc.native_backend(), svc.stats_registry(),
+                     svc.flight_recorder());
   std::unique_ptr<StatsLogger> logger;
   if (stats_every_ms > 0) {
     logger = std::make_unique<StatsLogger>(svc, stats_every_ms);
@@ -545,6 +553,6 @@ int main(int argc, char** argv) {
                 iph::obs::tracez_json(*fr, /*limit=*/0, /*slowest=*/true));
     }
   }
-  if (!quiet) print_stats(svc.stats());
+  if (!quiet) print_stats(svc.stats_registry().snapshot());
   return rc;
 }

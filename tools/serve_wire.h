@@ -4,6 +4,8 @@
 // Request line — either inline points or a named workload:
 //   {"id": 7, "points": [[x0,y0],[x1,y1],...]}
 //   {"id": 7, "n": 512, "workload": "disk", "seed": 42}
+// Inline coordinates must be finite: a number beyond the double range
+// (1e400) is an {"error": ...} line, on session_append too.
 // Optional fields: "alpha" (in-place-bridge round budget, default 8),
 // "deadline_ms" (relative deadline from receipt; expired-in-queue
 // requests are answered "expired"), "edge_above" (bool; include the
@@ -93,6 +95,7 @@
 // backend, plus the router-minted reasons listed in protocol.h.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -128,6 +131,45 @@ inline bool make_workload(const std::string& name, std::size_t n,
   return false;
 }
 
+/// Decode the point set of a request or session_append line (`what`
+/// names the message in errors): inline "points", whose coordinates
+/// must be finite (JSON numbers beyond the double range parse to
+/// infinity), or a named "n"/"workload"/"seed" batch.
+inline bool points_from_json(const trace::Json& j, const char* what,
+                             std::vector<geom::Point2>* out,
+                             std::string* err) {
+  out->clear();
+  if (const trace::Json* pts = j.find("points"); pts && pts->is_array()) {
+    out->reserve(pts->size());
+    for (const trace::Json& p : pts->items()) {
+      if (!p.is_array() || p.size() != 2 || !p.at(0).is_number() ||
+          !p.at(1).is_number()) {
+        *err = "\"points\" entries must be [x, y] number pairs";
+        return false;
+      }
+      const geom::Point2 pt{p.at(0).as_double(), p.at(1).as_double()};
+      if (!std::isfinite(pt.x) || !std::isfinite(pt.y)) {
+        *err = "\"points\" coordinates must be finite";
+        return false;
+      }
+      out->push_back(pt);
+    }
+    return true;
+  }
+  const auto n = static_cast<std::size_t>(j.get_num("n", 0));
+  if (n == 0) {
+    *err = std::string(what) + " needs \"points\" or a positive \"n\"";
+    return false;
+  }
+  const std::string workload = j.get_str("workload", "disk");
+  const auto seed = static_cast<std::uint64_t>(j.get_num("seed", 0));
+  if (!make_workload(workload, n, seed, out)) {
+    *err = "unknown workload \"" + workload + "\"";
+    return false;
+  }
+  return true;
+}
+
 /// Decode one request line. On success fills `out` (deadline resolved
 /// against Clock::now()) and `want_edge_above`; on failure returns
 /// false with a message in *err.
@@ -140,29 +182,7 @@ inline bool request_from_json(const trace::Json& j, serve::Request* out,
   *out = serve::Request{};
   out->id = static_cast<serve::RequestId>(j.get_num("id", 0));
   out->alpha = static_cast<int>(j.get_num("alpha", 8));
-  if (const trace::Json* pts = j.find("points"); pts && pts->is_array()) {
-    out->points.reserve(pts->size());
-    for (const trace::Json& p : pts->items()) {
-      if (!p.is_array() || p.size() != 2 || !p.at(0).is_number() ||
-          !p.at(1).is_number()) {
-        *err = "\"points\" entries must be [x, y] number pairs";
-        return false;
-      }
-      out->points.push_back({p.at(0).as_double(), p.at(1).as_double()});
-    }
-  } else {
-    const auto n = static_cast<std::size_t>(j.get_num("n", 0));
-    const std::string workload = j.get_str("workload", "disk");
-    const auto seed = static_cast<std::uint64_t>(j.get_num("seed", 0));
-    if (n == 0) {
-      *err = "request needs \"points\" or a positive \"n\"";
-      return false;
-    }
-    if (!make_workload(workload, n, seed, &out->points)) {
-      *err = "unknown workload \"" + workload + "\"";
-      return false;
-    }
-  }
+  if (!points_from_json(j, "request", &out->points, err)) return false;
   if (const trace::Json* b = j.find("backend"); b != nullptr) {
     if (!b->is_string() ||
         !exec::parse_backend(b->as_string(), &out->backend)) {
@@ -337,32 +357,8 @@ inline bool session_append_from_json(const trace::Json& j,
                                      std::uint64_t* sid,
                                      std::vector<geom::Point2>* pts,
                                      std::string* err) {
-  if (!session_sid_from_json(j, sid, err)) return false;
-  pts->clear();
-  if (const trace::Json* p = j.find("points"); p && p->is_array()) {
-    pts->reserve(p->size());
-    for (const trace::Json& e : p->items()) {
-      if (!e.is_array() || e.size() != 2 || !e.at(0).is_number() ||
-          !e.at(1).is_number()) {
-        *err = "\"points\" entries must be [x, y] number pairs";
-        return false;
-      }
-      pts->push_back({e.at(0).as_double(), e.at(1).as_double()});
-    }
-    return true;
-  }
-  const auto n = static_cast<std::size_t>(j.get_num("n", 0));
-  if (n == 0) {
-    *err = "session_append needs \"points\" or a positive \"n\"";
-    return false;
-  }
-  const std::string workload = j.get_str("workload", "disk");
-  const auto seed = static_cast<std::uint64_t>(j.get_num("seed", 0));
-  if (!make_workload(workload, n, seed, pts)) {
-    *err = "unknown workload \"" + workload + "\"";
-    return false;
-  }
-  return true;
+  return session_sid_from_json(j, sid, err) &&
+         points_from_json(j, "session_append", pts, err);
 }
 
 /// Encode a session_open answer.
